@@ -2,6 +2,7 @@
 //! pyfront-transformed π body (frames > 0), surface fallback reasons, and
 //! hold the quickening/inline-cache counter invariants.
 
+use omp4rs::adaptive::AdaptiveMode;
 use omp4rs::{Icvs, MinipyQuicken, MinipyVm};
 use omp4rs_apps::{pi, Mode};
 
@@ -110,4 +111,48 @@ fn ic_totals_match_dispatch_counts_on_a_known_program() {
     // First execution of each site misses and fills; the rest hit.
     assert_eq!(stats.ic_misses, 2, "one fill per IC site");
     assert_eq!(stats.ic_hits, dispatches - 2);
+}
+
+#[test]
+fn hybrid_pi_cell_reads_do_not_grow_with_n() {
+    let _guard = lock();
+    // π's loop reads the captured `w`. Snapshotted into a frame local at
+    // region entry, it costs one shared-cell read per thread. What remains
+    // is per thread (the snapshots, intrinsic lookups, the merge) or per
+    // chunk (the `range` builtin), never per iteration.
+    let reads_at = |n: i64| {
+        minipy::stats::reset();
+        minipy::stats::set_enabled(true);
+        let out = pi::run(Mode::Hybrid, 2, &pi::Params { n }).expect("pi runs");
+        let reads = minipy::stats::cell_reads();
+        minipy::stats::set_enabled(false);
+        assert!((out.check - pi::seq(&pi::Params { n })).abs() < 1e-9);
+        reads
+    };
+    let before = Icvs::current();
+    for quicken in [MinipyQuicken::Off, MinipyQuicken::Auto, MinipyQuicken::On] {
+        // Static blocks: one chunk per thread, so the count is exactly
+        // O(threads). (The default adaptive mode schedules clause-less
+        // interpreted loops guided, whose chunk count grows with n.)
+        Icvs::update(|i| {
+            i.minipy_quicken = quicken;
+            i.adaptive = AdaptiveMode::AutoOnly;
+        });
+        let small = reads_at(1_000);
+        let large = reads_at(100_000);
+        assert!(small > 0, "{quicken:?}: the counter recorded nothing");
+        assert_eq!(
+            small, large,
+            "{quicken:?}: cell reads grew with n ({small} -> {large})"
+        );
+        // Default adaptive scheduling: O(chunks), far below O(n).
+        Icvs::update(|i| i.adaptive = before.adaptive);
+        let adaptive = reads_at(100_000);
+        println!("{quicken:?}: cell reads n=1e3 {small}, n=1e5 {large}, adaptive n=1e5 {adaptive}");
+        assert!(
+            adaptive < 1_000,
+            "{quicken:?}: {adaptive} cell reads for n = 1e5"
+        );
+    }
+    Icvs::reset(before);
 }

@@ -525,8 +525,27 @@ mod tests {
         TaskNode::new(Backend::Atomic, Box::new(|| {}))
     }
 
-    fn graph() -> DepGraph {
-        DepGraph::new(Arc::new(Notifier::new()))
+    /// A fresh graph that holds the module's test lock while it lives: the
+    /// dependence counters are process-global, so tests that assert on
+    /// their deltas must not overlap with any other test inserting edges.
+    struct TestGraph {
+        graph: DepGraph,
+        _serial: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl std::ops::Deref for TestGraph {
+        type Target = DepGraph;
+        fn deref(&self) -> &DepGraph {
+            &self.graph
+        }
+    }
+
+    fn graph() -> TestGraph {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TestGraph {
+            _serial: SERIAL.lock().unwrap_or_else(|e| e.into_inner()),
+            graph: DepGraph::new(Arc::new(Notifier::new())),
+        }
     }
 
     fn insert(g: &DepGraph, deps: &[Dep]) -> (u64, Arc<TaskNode>, bool) {

@@ -387,6 +387,8 @@ mod tests {
 
     #[test]
     fn disarmed_hook_is_inert() {
+        // Every arming test holds the lock for as long as its plan is armed.
+        let _lock = TEST_LOCK.lock();
         assert!(!is_armed());
         for _ in 0..1000 {
             on_event(FaultSite::BarrierArrival);

@@ -2146,7 +2146,11 @@ mod tests {
             assert!(enabled());
             record(7, EventKind::TaskCreate { deferred: true });
             record(7, EventKind::TaskComplete);
-            let evs = events();
+            // Sibling tests may run instrumented regions while this session
+            // is enabled: look at this thread's stream only.
+            let mut me = 0;
+            with_ring(|ring| me = ring.tid);
+            let evs: Vec<Event> = events().into_iter().filter(|e| e.thread == me).collect();
             assert_eq!(evs.len(), 2);
             assert!(evs.iter().all(|e| e.region == 7));
             // Events appear in per-thread program order.
@@ -2154,6 +2158,9 @@ mod tests {
             let text = session.summary();
             assert!(text.contains("region 7"), "{text}");
         }
+        // Under the session lock, so a sibling test's live session cannot
+        // be what this observes.
+        let _lock = SESSION_LOCK.lock();
         assert!(!enabled());
     }
 

@@ -7,7 +7,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use omp4rs::exec::{parallel_region, ForSpec, ParallelConfig};
@@ -24,11 +24,18 @@ fn cfg(backend: Backend, threads: usize) -> ParallelConfig {
     ParallelConfig::new().num_threads(threads).backend(backend)
 }
 
-/// Run `f` with the cancel-var ICV enabled, serialized against the other
-/// ICV-flipping tests in this binary.
+/// Serializes every test in this binary. libtest runs tests concurrently,
+/// but an armed fault plan fires on any thread of the process (a test that
+/// merely runs tasks would take another test's injected panic), and the
+/// cancel-var ICV is process-global.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `f` with the cancel-var ICV enabled (holding [`serial`]).
 fn with_cancellation(f: impl FnOnce()) {
-    static ICV_LOCK: Mutex<()> = Mutex::new(());
-    let _lock = ICV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let before = Icvs::current();
     Icvs::update(|icvs| icvs.cancellation = true);
     let result = catch_unwind(AssertUnwindSafe(f));
@@ -40,6 +47,7 @@ fn with_cancellation(f: impl FnOnce()) {
 
 #[test]
 fn panic_at_first_barrier_arrival_reraises_bounded() {
+    let _serial = serial();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF001).panic_at(FaultSite::BarrierArrival, 1));
         let start = Instant::now();
@@ -63,6 +71,7 @@ fn panic_at_first_barrier_arrival_reraises_bounded() {
 
 #[test]
 fn panic_at_the_implicit_end_barrier_is_caught() {
+    let _serial = serial();
     // With an empty body the first barrier arrival IS the implicit region-end
     // barrier — the panic unwinds outside the body's catch_unwind and must
     // still poison the team rather than strand the teammates parked there.
@@ -81,6 +90,7 @@ fn panic_at_the_implicit_end_barrier_is_caught() {
 
 #[test]
 fn panic_inside_a_task_is_contained_then_reraised() {
+    let _serial = serial();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF003).panic_at(FaultSite::TaskExecute, 1));
         let executed = AtomicUsize::new(0);
@@ -112,6 +122,7 @@ fn panic_inside_a_task_is_contained_then_reraised() {
 
 #[test]
 fn panic_at_a_chunk_claim_poisons_the_loop() {
+    let _serial = serial();
     for backend in BACKENDS {
         let guard = faults::arm(FaultPlan::new(0xF004).panic_at(FaultSite::ChunkClaim, 5));
         let executed = AtomicUsize::new(0);
@@ -172,6 +183,13 @@ fn cancel_for_stops_remaining_chunk_claims() {
 #[test]
 fn cancel_is_inert_when_the_icv_is_disabled() {
     // OMP_CANCELLATION defaults to false: cancel is a no-op returning false.
+    // Serialized, so no `with_cancellation` test can flip the ICV on
+    // underneath this one.
+    let _serial = serial();
+    assert!(
+        !Icvs::current().cancellation,
+        "the cancel-var ICV must be off outside with_cancellation"
+    );
     let executed = AtomicUsize::new(0);
     parallel_region(&cfg(Backend::Atomic, 2), |ctx| {
         ctx.for_each(
@@ -255,6 +273,7 @@ fn sections_observe_cancellation() {
 
 #[test]
 fn tasks_submitted_by_one_thread_are_stolen_by_teammates() {
+    let _serial = serial();
     // One producer loads its own deque; teammates waiting at the region-end
     // barrier must pull work from it. The profiler's task-steal counter is
     // the witness that cross-thread stealing actually happened. The task
@@ -288,6 +307,7 @@ fn tasks_submitted_by_one_thread_are_stolen_by_teammates() {
 
 #[test]
 fn injected_panic_in_a_stolen_task_poisons_without_hanging() {
+    let _serial = serial();
     // Panics must stay first-wins and bounded even when the failing task may
     // be executing on a thief's stack rather than its submitter's.
     for backend in BACKENDS {
@@ -352,6 +372,7 @@ fn cancel_taskgroup_drains_loaded_deques_across_threads() {
 
 #[test]
 fn delay_injection_slows_but_does_not_break() {
+    let _serial = serial();
     let guard = faults::arm(FaultPlan::new(0xF005).delay_at(
         FaultSite::BarrierArrival,
         1,

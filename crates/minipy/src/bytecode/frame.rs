@@ -1,6 +1,6 @@
 //! Per-call VM state: the register file and its side tables.
 
-use crate::env::{Cell, Env};
+use crate::env::{read_cell, Cell, Env};
 use crate::error::{name_err, PyErr};
 use crate::interp::ValueIter;
 use crate::methods;
@@ -226,7 +226,10 @@ impl Frame {
     pub fn read(&self, reg: Reg, code: &CompiledCode, closure: &Env) -> Result<Value, PyErr> {
         if reg < self.n_locals && !self.is_set(reg) {
             let name = &code.local_names[reg as usize];
-            return closure.get(name).ok_or_else(|| name_err(name));
+            return closure
+                .get_cell(name)
+                .map(|c| read_cell(&c).clone())
+                .ok_or_else(|| name_err(name));
         }
         Ok(self.regs[reg as usize].clone())
     }

@@ -48,7 +48,7 @@
 //! exactly the boxed state a tier-1 execution would have produced.
 
 use crate::ast::{BinOp, CmpOp};
-use crate::env::Env;
+use crate::env::{read_cell, Env};
 use crate::error::{name_err, type_err, value_err, ErrKind, PyErr};
 use crate::interp::{
     binary_op, compare, current_exception, exception_from_value, float_binary, int_binary,
@@ -278,11 +278,12 @@ fn step(
             frame.cells[*cell as usize] = Some(resolved);
         }
         Op::LoadCell { dst, cell } => {
-            let v = frame.cells[*cell as usize]
-                .as_ref()
-                .expect("cell bound by prologue")
-                .read()
-                .clone();
+            let v = read_cell(
+                frame.cells[*cell as usize]
+                    .as_ref()
+                    .expect("cell bound by prologue"),
+            )
+            .clone();
             frame.write(*dst, v);
         }
         Op::StoreCell { cell, src } => {
@@ -294,11 +295,11 @@ fn step(
         }
         Op::LoadFree { dst, cell, name } => {
             let v = match &frame.cells[*cell as usize] {
-                Some(c) => c.read().clone(),
+                Some(c) => read_cell(c).clone(),
                 None => {
                     let nm = &code.names[*name as usize];
                     let c = closure.get_cell(nm).ok_or_else(|| name_err(nm))?;
-                    let v = c.read().clone();
+                    let v = read_cell(&c).clone();
                     frame.cells[*cell as usize] = Some(c);
                     v
                 }
@@ -335,7 +336,7 @@ fn step(
                 // binding through its cell and never creates a local.
                 let nm = &code.local_names[*slot as usize];
                 let cell = closure.get_cell(nm).ok_or_else(|| name_err(nm))?;
-                let old = cell.read().clone();
+                let old = read_cell(&cell).clone();
                 let new = binary_op(*op, &old, &rhs)?;
                 *cell.write() = new;
             }
@@ -348,7 +349,7 @@ fn step(
             // Read-modify-write without holding the lock across the
             // operator, matching the tree-walker (and CPython: `x += 1` is
             // not atomic).
-            let old = c.read().clone();
+            let old = read_cell(c).clone();
             let new = binary_op(*op, &old, &rhs)?;
             *c.write() = new;
         }
@@ -920,7 +921,7 @@ fn step_quick(
         Op::LoadFree { dst, cell, .. } => {
             if code.quick[pc].load(Ordering::Relaxed) == qk::LOAD_FREE_NUM {
                 let n = match &frame.cells[*cell as usize] {
-                    Some(c) => match &*c.read() {
+                    Some(c) => match &*read_cell(c) {
                         Value::Int(v) => Some(Num::I(*v)),
                         Value::Float(v) => Some(Num::F(*v)),
                         _ => None,
@@ -1229,7 +1230,7 @@ fn exec_fused(frame: &mut Frame, m: &FusedOp, cache: &mut Option<Num>, stats_on:
                 Some(n) => n,
                 None => {
                     let n = match &frame.cells[m.a as usize] {
-                        Some(c) => match &*c.read() {
+                        Some(c) => match &*read_cell(c) {
                             Value::Int(v) => Num::I(*v),
                             Value::Float(v) => Num::F(*v),
                             // Non-numeric cell value: bail.
@@ -1314,6 +1315,9 @@ fn profile(f: &FuncValue, code: &CompiledCode, frame: &Frame, pc: usize) -> u8 {
     match &code.ops[pc] {
         Op::LoadFree { cell, name, .. } => {
             let numeric = match &frame.cells[*cell as usize] {
+                // One-shot shape probes, not program reads: left out of
+                // `minipy.cell.reads`, whose count would otherwise depend on
+                // how many threads race to profile the same slot.
                 Some(c) => matches!(&*c.read(), Value::Int(_) | Value::Float(_)),
                 None => match f.closure.get_cell(&code.names[*name as usize]) {
                     Some(c) => matches!(&*c.read(), Value::Int(_) | Value::Float(_)),
@@ -1412,7 +1416,7 @@ fn step_ic(
                     if stats::enabled() {
                         stats::count_ic(true);
                     }
-                    c.read().clone()
+                    read_cell(c).clone()
                 }
                 None => {
                     if stats::enabled() {
@@ -1420,7 +1424,7 @@ fn step_ic(
                     }
                     let nm = &code.names[*name as usize];
                     let c = closure.get_cell(nm).ok_or_else(|| name_err(nm))?;
-                    let v = c.read().clone();
+                    let v = read_cell(&c).clone();
                     frame.cells[*cell as usize] = Some(c);
                     v
                 }

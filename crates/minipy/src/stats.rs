@@ -29,6 +29,7 @@ static QUICKEN_REWRITES: AtomicU64 = AtomicU64::new(0);
 static QUICKEN_DEOPTS: AtomicU64 = AtomicU64::new(0);
 static IC_HITS: AtomicU64 = AtomicU64::new(0);
 static IC_MISSES: AtomicU64 = AtomicU64::new(0);
+static CELL_READS: AtomicU64 = AtomicU64::new(0);
 
 /// Whether interpreter counters are being collected.
 #[inline]
@@ -57,6 +58,7 @@ pub fn reset() {
     QUICKEN_DEOPTS.store(0, Ordering::Relaxed);
     IC_HITS.store(0, Ordering::Relaxed);
     IC_MISSES.store(0, Ordering::Relaxed);
+    CELL_READS.store(0, Ordering::Relaxed);
 }
 
 /// A snapshot of the interpreter contention counters.
@@ -113,6 +115,23 @@ pub fn snapshot() -> InterpStats {
         ic_hits: IC_HITS.load(Ordering::Relaxed),
         ic_misses: IC_MISSES.load(Ordering::Relaxed),
     }
+}
+
+/// Read-lock acquisitions on shared variable cells of an enclosing scope
+/// (`minipy.cell.reads`): every cell a bytecode frame reads (free names,
+/// `nonlocal`/`global` declarations) and every tree-walker name read that
+/// resolves past the reading function's own frame. A cell shared by a team
+/// makes each such read a write to one cache line all its threads contend
+/// for. Kept out of [`InterpStats`]: code outside this crate builds that
+/// struct field by field.
+pub fn cell_reads() -> u64 {
+    CELL_READS.load(Ordering::Relaxed)
+}
+
+/// One shared-cell read (gated on [`enabled`] by the caller: free-name
+/// reads sit on loop hot paths).
+pub(crate) fn count_cell_read() {
+    CELL_READS.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn count_gil_acquisition() {

@@ -540,8 +540,8 @@ fn install_api(module: &ModuleObj) {
 /// `minipy.vm.compile_ns`, `minipy.vm.fallbacks`, `minipy.vm.frames`,
 /// `minipy.vm.ops`, `minipy.vm.quicken.rewrites`,
 /// `minipy.vm.quicken.deopts`, `minipy.vm.ic.hits`, `minipy.vm.ic.misses`,
-/// and one `minipy.vm.fallback.<reason>` per observed fallback reason. See
-/// [`minipy::stats`] for what each counts.
+/// `minipy.cell.reads`, and one `minipy.vm.fallback.<reason>` per observed
+/// fallback reason. See [`minipy::stats`] for what each counts.
 pub fn sync_interp_counters(interp: &Interp) {
     let stats = minipy::stats::snapshot();
     omp4rs::ompt::set_counter("minipy.gil.acquisitions", stats.gil_acquisitions);
@@ -558,6 +558,7 @@ pub fn sync_interp_counters(interp: &Interp) {
     omp4rs::ompt::set_counter("minipy.vm.quicken.deopts", stats.quicken_deopts);
     omp4rs::ompt::set_counter("minipy.vm.ic.hits", stats.ic_hits);
     omp4rs::ompt::set_counter("minipy.vm.ic.misses", stats.ic_misses);
+    omp4rs::ompt::set_counter("minipy.cell.reads", minipy::stats::cell_reads());
     for (reason, count) in minipy::bytecode::fallback_reasons() {
         omp4rs::ompt::set_counter(vm_fallback_counter(reason), count);
     }

@@ -17,7 +17,7 @@ use minipy::error::{ErrKind, PyErr};
 use omp4rs::directive::{Clause, DefaultKind, Directive, DirectiveKind, ReductionOp, ScheduleKind};
 use omp4rs::reduction::{declare_reduction, DeclaredReduction};
 
-use crate::scope::{assignment_counts, rename_names, used_names};
+use crate::scope::{assigned_names, assignment_counts, rename_names, used_names};
 use crate::threadprivate;
 
 /// Transform an `@omp`-decorated function definition.
@@ -34,6 +34,8 @@ pub fn transform_function(def: &FuncDef) -> Result<FuncDef, PyErr> {
         fn_name: def.name.clone(),
         fn_counts: assignment_counts(&def.body),
         fn_params: def.params.iter().map(|p| p.name.clone()).collect(),
+        bound: Vec::new(),
+        rebindable: rebindable_names(&def.body),
     };
     let mut body = t.transform_block(&def.body)?;
     let tp_names = threadprivate::registered();
@@ -99,6 +101,14 @@ struct Transformer {
     fn_counts: HashMap<String, usize>,
     /// The enclosing function's parameters.
     fn_params: HashSet<String>,
+    /// Names bound by a plain assignment that is a direct statement of the
+    /// block being transformed or of an enclosing block, ahead of the
+    /// current statement: bound on every path that reaches it.
+    bound: Vec<String>,
+    /// Names that something other than the enclosing function's own
+    /// straight-line code may rebind while a region runs (see
+    /// [`rebindable_names`]).
+    rebindable: HashSet<String>,
 }
 
 /// Data-sharing info extracted from clauses for a region.
@@ -188,11 +198,28 @@ impl Transformer {
     }
 
     fn transform_block(&mut self, stmts: &[Stmt]) -> Result<Vec<Stmt>, PyErr> {
+        let mark = self.bound.len();
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in stmts {
             out.extend(self.transform_stmt(stmt)?);
+            if matches!(stmt.kind, StmtKind::Assign { .. }) {
+                self.bound
+                    .extend(assigned_names(std::slice::from_ref(stmt)));
+            }
         }
+        // Bindings made inside this block do not reach the statements
+        // after it: the block may be a branch, a loop body or a `try`.
+        self.bound.truncate(mark);
         Ok(out)
+    }
+
+    /// Whether a parallel region may read `name` from a snapshot taken at
+    /// region entry: it is a parameter or a definitely-bound local of the
+    /// enclosing function, and nothing can rebind it while the region runs
+    /// (the function itself is blocked in `parallel_run` meanwhile).
+    fn snapshottable(&self, name: &str) -> bool {
+        !self.rebindable.contains(name)
+            && (self.fn_params.contains(name) || self.bound.iter().any(|b| b == name))
     }
 
     fn transform_stmt(&mut self, stmt: &Stmt) -> Result<Vec<Stmt>, PyErr> {
@@ -516,13 +543,15 @@ impl Transformer {
     // ---- data sharing ----------------------------------------------------
 
     /// Apply privatization renames and compute the `nonlocal` set for a
-    /// region body. Returns (prologue, epilogue, nonlocal names).
+    /// region body. With `snapshot`, every read-only capture the region
+    /// reads is also copied into a local at entry and renamed, exactly like
+    /// `firstprivate`. Returns (prologue, epilogue, nonlocal names).
     fn privatize(
         &mut self,
         ds: &DataSharing,
         body: &mut [Stmt],
         original_body: &[Stmt],
-        _is_loop: bool,
+        snapshot: bool,
         bounds_name: Option<&str>,
         line: u32,
     ) -> Result<PrivatizeParts, PyErr> {
@@ -619,6 +648,24 @@ impl Transformer {
             }));
         }
 
+        // threadprivate names are rewritten to tp_get/tp_set later; they
+        // must neither be snapshotted nor appear in nonlocal declarations.
+        let tp_names = threadprivate::registered();
+        if snapshot {
+            let mut reads: Vec<String> = used_names(original_body)
+                .into_iter()
+                .filter(|n| {
+                    !rename.contains_key(n) && !tp_names.contains(n) && self.snapshottable(n)
+                })
+                .collect();
+            reads.sort();
+            for var in reads {
+                let new = format!("__omp_{var}_{}", self.next_id());
+                prologue.push(assign(&new, Expr::name(&var)));
+                rename.insert(var, new);
+            }
+        }
+
         if !rename.is_empty() {
             rename_names(body, &rename);
         }
@@ -630,9 +677,6 @@ impl Transformer {
         // their body occurrences were renamed: the generated merge epilogue
         // assigns the *original* name.
         let pure_private: HashSet<&String> = privates.iter().chain(firstprivates.iter()).collect();
-        // threadprivate names are rewritten to tp_get/tp_set later; they
-        // must not appear in nonlocal declarations.
-        let tp_names = threadprivate::registered();
         let mut nonlocals: Vec<String> = block_counts
             .keys()
             .chain(ds.reductions.iter().map(|(_, v)| v))
@@ -665,7 +709,7 @@ impl Transformer {
     ) -> Result<Vec<Stmt>, PyErr> {
         let ds = DataSharing::from_clauses(&directive.clauses);
         let (prologue, epilogue, nonlocals) =
-            self.privatize(&ds, &mut inner_body, original_body, false, None, line)?;
+            self.privatize(&ds, &mut inner_body, original_body, true, None, line)?;
 
         let fname = format!("__omp_parallel_{}", self.next_id());
         let mut func_body = Vec::new();
@@ -705,9 +749,13 @@ impl Transformer {
 
         let mut out = before;
         out.push(Stmt::new(StmtKind::FuncDef(func_def), line));
-        out.push(omp_call_stmt(
-            "parallel_run",
-            vec![Expr::name(&fname), num_threads, if_expr],
+        out.push(run_then_unbind(
+            omp_call_stmt(
+                "parallel_run",
+                vec![Expr::name(&fname), num_threads, if_expr],
+            ),
+            &fname,
+            line,
         ));
         Ok(out)
     }
@@ -820,7 +868,10 @@ impl Transformer {
                 ],
             )
         };
-        Ok(vec![Stmt::new(StmtKind::FuncDef(func_def), line), submit])
+        Ok(vec![
+            Stmt::new(StmtKind::FuncDef(func_def), line),
+            run_then_unbind(submit, &fname, line),
+        ])
     }
 
     // ---- for -----------------------------------------------------------------
@@ -879,7 +930,7 @@ impl Transformer {
         // function, so no nonlocal declarations are needed here; an
         // enclosing `parallel` transform adds its own later.
         let (prologue, epilogue, _nonlocals) =
-            self.privatize(&ds, &mut inner, innermost_body, true, Some(&bounds), line)?;
+            self.privatize(&ds, &mut inner, innermost_body, false, Some(&bounds), line)?;
 
         // Loop variables are implicitly private: rename them if they are
         // bound elsewhere in the enclosing function.
@@ -1140,20 +1191,21 @@ impl Transformer {
             .iter()
             .any(|c| matches!(c, Clause::Nogroup));
 
+        let run = omp_call_stmt(
+            "taskloop_run",
+            vec![
+                Expr::name(&fname),
+                start,
+                stop,
+                step,
+                grainsize,
+                num_tasks,
+                Expr::Bool(nogroup),
+            ],
+        );
         Ok(vec![
             Stmt::new(StmtKind::FuncDef(func_def), line),
-            omp_call_stmt(
-                "taskloop_run",
-                vec![
-                    Expr::name(&fname),
-                    start,
-                    stop,
-                    step,
-                    grainsize,
-                    num_tasks,
-                    Expr::Bool(nogroup),
-                ],
-            ),
+            run_then_unbind(run, &fname, line),
         ])
     }
 
@@ -1323,6 +1375,106 @@ impl Transformer {
             ],
         ));
         Ok(out)
+    }
+}
+
+/// `try: <run> finally: del <fname>` — the generated function closes over
+/// the frame that binds it, and minipy has no cycle collector, so the
+/// binding must go once the runtime is done with it or every call leaks
+/// its whole frame.
+fn run_then_unbind(run: Stmt, fname: &str, line: u32) -> Stmt {
+    Stmt::new(
+        StmtKind::Try {
+            body: vec![run],
+            handlers: Vec::new(),
+            orelse: Vec::new(),
+            finalbody: vec![Stmt::synth(StmtKind::Del(vec![Expr::name(fname)]))],
+        },
+        line,
+    )
+}
+
+/// Names of an `@omp` function that a parallel region must keep reading
+/// through the shared cell, because something may rebind them while the
+/// region runs:
+///
+/// - names assigned inside any `with omp(...)` block — other threads of an
+///   enclosing team may be running that block;
+/// - names listed in any data-sharing clause other than `shared` (the
+///   generated merges, `lastprivate` and `copyprivate` epilogues assign the
+///   original), and `threadprivate` names;
+/// - names declared `nonlocal` or `global` anywhere, nested defs included;
+/// - names any `del` targets.
+fn rebindable_names(body: &[Stmt]) -> HashSet<String> {
+    fn clause_vars(text: &str, out: &mut HashSet<String>) {
+        let Ok(directive) = Directive::parse(text) else {
+            // The transform itself reports the error.
+            return;
+        };
+        if let DirectiveKind::Threadprivate(vars) = &directive.kind {
+            out.extend(vars.iter().cloned());
+        }
+        for clause in &directive.clauses {
+            match clause {
+                Clause::Private(v)
+                | Clause::Firstprivate(v)
+                | Clause::Lastprivate(v)
+                | Clause::Copyin(v)
+                | Clause::Copyprivate(v)
+                | Clause::Reduction { vars: v, .. } => out.extend(v.iter().cloned()),
+                _ => {}
+            }
+        }
+    }
+    let mut out = HashSet::new();
+    visit_stmts(body, &mut |stmt| match &stmt.kind {
+        StmtKind::Global(names) | StmtKind::Nonlocal(names) => out.extend(names.iter().cloned()),
+        StmtKind::Del(_) => out.extend(assigned_names(std::slice::from_ref(stmt))),
+        StmtKind::With { items, body } => {
+            if let Some(text) = items.first().and_then(|i| omp_directive_text(&i.context)) {
+                out.extend(assigned_names(body));
+                clause_vars(text, &mut out);
+            }
+        }
+        StmtKind::Expr(e) => {
+            if let Some(text) = omp_directive_text(e) {
+                clause_vars(text, &mut out);
+            }
+        }
+        _ => {}
+    });
+    out
+}
+
+/// Call `f` on every statement of `stmts`, depth first, descending into
+/// every nested block and nested function body.
+fn visit_stmts(stmts: &[Stmt], f: &mut dyn FnMut(&Stmt)) {
+    for stmt in stmts {
+        f(stmt);
+        match &stmt.kind {
+            StmtKind::If { body, orelse, .. } => {
+                visit_stmts(body, f);
+                visit_stmts(orelse, f);
+            }
+            StmtKind::While { body, .. }
+            | StmtKind::For { body, .. }
+            | StmtKind::With { body, .. } => visit_stmts(body, f),
+            StmtKind::Try {
+                body,
+                handlers,
+                orelse,
+                finalbody,
+            } => {
+                visit_stmts(body, f);
+                for h in handlers {
+                    visit_stmts(&h.body, f);
+                }
+                visit_stmts(orelse, f);
+                visit_stmts(finalbody, f);
+            }
+            StmtKind::FuncDef(def) => visit_stmts(&def.body, f),
+            _ => {}
+        }
     }
 }
 

@@ -930,3 +930,215 @@ def prio():
         assert_eq!(got, vec![5, 4, 3, 2, 1], "{mode:?}");
     }
 }
+
+// ---- read-only capture snapshots ------------------------------------------
+//
+// A parallel region copies each captured name that nothing can rebind while
+// it runs into a frame local at entry. These tests pin the cases that must
+// stay shared cells, and the ones where a snapshot would change behavior.
+
+#[test]
+fn snapshot_skips_names_not_bound_on_every_path_into_the_region() {
+    // `later` is bound only after the region and `maybe` only in a branch:
+    // a snapshot at entry would raise NameError although the region never
+    // reads either name when `flag` is false.
+    let src = r#"
+from omp4py import *
+
+@omp
+def f(flag):
+    out = []
+    if flag:
+        maybe = 1
+    with omp("parallel num_threads(2)"):
+        if flag:
+            with omp("critical"):
+                out.append(later + maybe)
+    later = 5
+    return len(out)
+"#;
+    for mode in both_modes() {
+        let v = run_and_call(mode, src, "f", vec![Value::Bool(false)]);
+        assert_eq!(v.as_int().unwrap(), 0, "{mode:?}");
+    }
+}
+
+#[test]
+fn names_written_inside_a_region_stay_shared() {
+    // Thread 1 spins on `ready` until thread 0 sets it inside the same
+    // region: a snapshot would never see the write.
+    let src = r#"
+from omp4py import *
+
+@omp
+def f():
+    ready = False
+    got = []
+    with omp("parallel num_threads(2)"):
+        if omp_get_thread_num() == 0:
+            with omp("critical"):
+                ready = True
+        else:
+            spins = 0
+            while not ready and spins < 50000000:
+                spins += 1
+            with omp("critical"):
+                got.append(ready)
+    return got
+"#;
+    for mode in both_modes() {
+        let v = run_and_call(mode, src, "f", vec![]);
+        assert_eq!(v.repr(), "[True]", "{mode:?}");
+    }
+}
+
+#[test]
+fn names_written_in_another_omp_block_stay_shared() {
+    // Two sibling nested regions run concurrently on the two threads of the
+    // enclosing team: the second reads `ready`, which only the first one
+    // writes. The reading region does not assign `ready` itself.
+    let src = r#"
+from omp4py import *
+
+@omp
+def f():
+    ready = False
+    got = []
+    with omp("parallel num_threads(2)"):
+        if omp_get_thread_num() == 0:
+            with omp("parallel num_threads(1)"):
+                ready = True
+        else:
+            with omp("parallel num_threads(1)"):
+                spins = 0
+                while not ready and spins < 50000000:
+                    spins += 1
+                with omp("critical"):
+                    got.append(ready)
+    return got
+"#;
+    for mode in both_modes() {
+        let v = run_and_call(mode, src, "f", vec![]);
+        assert_eq!(v.repr(), "[True]", "{mode:?}");
+    }
+}
+
+#[test]
+fn nonlocal_in_a_nested_def_keeps_the_name_shared() {
+    // `inc` rebinds `w` through `nonlocal` while the region runs; each
+    // thread must read the count after its own increment.
+    let src = r#"
+from omp4py import *
+
+@omp
+def f():
+    w = 0
+    def inc():
+        nonlocal w
+        w += 1
+    seen = []
+    with omp("parallel num_threads(2)"):
+        with omp("critical"):
+            inc()
+            seen.append(w)
+    return sorted(seen)
+"#;
+    for mode in both_modes() {
+        let v = run_and_call(mode, src, "f", vec![]);
+        assert_eq!(v.repr(), "[1, 2]", "{mode:?}");
+    }
+}
+
+#[test]
+fn default_none_still_rejects_unlisted_snapshot_candidates() {
+    // `w` would qualify for a snapshot, but default(none) still demands
+    // that it be listed; once listed as shared it reads correctly.
+    let body = |clauses: &str| {
+        format!(
+            r#"
+from omp4py import *
+
+@omp
+def f():
+    w = 7
+    out = []
+    with omp("parallel num_threads(2) default(none) {clauses}"):
+        with omp("critical"):
+            out.append(w)
+    return out
+"#
+        )
+    };
+    for mode in both_modes() {
+        let err = Runner::new(mode).run(&body("shared(out)")).unwrap_err();
+        assert_eq!(err.kind, minipy::ErrKind::Syntax, "{mode:?}");
+        assert!(err.msg.contains("'w'"), "{mode:?}: {}", err.msg);
+        let v = run_and_call(mode, &body("shared(out, w)"), "f", vec![]);
+        assert_eq!(v.repr(), "[7, 7]", "{mode:?}");
+    }
+}
+
+#[test]
+fn nested_parallel_regions_read_snapshots_correctly() {
+    // Both the outer and the inner region snapshot `w`; the inner one
+    // copies the outer one's local.
+    let src = r#"
+from omp4py import *
+
+@omp
+def f(n):
+    w = 3
+    total = 0
+    with omp("parallel num_threads(2)"):
+        part = 0
+        with omp("parallel for reduction(+:part) num_threads(2)"):
+            for i in range(n):
+                part += i * w
+        with omp("critical"):
+            total += part
+    return total
+"#;
+    let n = 1_000;
+    for mode in both_modes() {
+        let v = run_and_call(mode, src, "f", vec![Value::Int(n)]);
+        assert_eq!(v.as_int().unwrap(), 3 * n * (n - 1), "{mode:?}");
+    }
+}
+
+#[test]
+fn calls_do_not_leak_their_frames() {
+    // The generated region and task functions close over the frame that
+    // binds them; unless the binding is dropped after the run, that cycle
+    // keeps every argument of every call alive.
+    let src = r#"
+from omp4py import *
+
+@omp
+def f(xs):
+    n = [0]
+    with omp("parallel num_threads(2)"):
+        with omp("single"):
+            with omp("task"):
+                with omp("critical"):
+                    n[0] += len(xs)
+    return n[0]
+"#;
+    for mode in both_modes() {
+        let runner = Runner::new(mode);
+        runner.run(src).expect("program loads");
+        let xs = Value::list((0..100).map(Value::Int).collect());
+        let Value::List(list) = &xs else {
+            unreachable!()
+        };
+        let baseline = std::sync::Arc::strong_count(list);
+        for _ in 0..10 {
+            let v = runner.call_global("f", vec![xs.clone()]).expect("f runs");
+            assert_eq!(v.as_int().unwrap(), 100, "{mode:?}");
+        }
+        assert_eq!(
+            std::sync::Arc::strong_count(list),
+            baseline,
+            "{mode:?}: calls leaked references to their argument"
+        );
+    }
+}

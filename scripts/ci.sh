@@ -17,6 +17,9 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     run cargo build --release
 fi
 run cargo test -q
+# The benchmark (perfbench/) is a workspace of its own, so the root
+# `cargo test` never builds or tests it: run its tests explicitly.
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # Bytecode-VM equivalence: both differential suites named explicitly so a
 # test-filter or package-list change can never silently drop them, and under
 # both quickening tiers — `off` pins the tier-1 baseline, `on` forces the

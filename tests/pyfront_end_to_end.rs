@@ -44,6 +44,18 @@ fn pi_source_generates_fig2_fig3_shapes() {
     // The private reduction copy is renamed with the __omp_ prefix.
     assert!(dumped.contains("__omp_pi_value_"), "{dumped}");
     assert!(dumped.contains("parallel_run"), "{dumped}");
+    // The read-only capture `w` is snapshotted into a frame local at region
+    // entry: the loop body reads `__omp_w_<k>`, never the shared cell `w`.
+    let body_line = dumped
+        .lines()
+        .find(|l| l.contains("local = "))
+        .unwrap_or_else(|| panic!("no loop body line in {dumped}"));
+    assert!(body_line.contains("* __omp_w_"), "{body_line}\n{dumped}");
+    assert!(!body_line.contains("* w"), "{body_line}\n{dumped}");
+    // The generated function is unbound once the region is over (no
+    // frame <-> closure cycle survives the call).
+    assert!(dumped.contains("finally:"), "{dumped}");
+    assert!(dumped.contains("del __omp_parallel_"), "{dumped}");
 }
 
 #[test]
