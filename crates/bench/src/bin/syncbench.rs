@@ -19,9 +19,11 @@
 //!
 //! Each construct is measured across a thread-count sweep × both
 //! synchronization backends ([`Backend::Mutex`] / [`Backend::Atomic`]) ×
-//! both wait policies (`OMP_WAIT_POLICY=passive|active`), because the whole
-//! point of hot teams + signaled waiting is that these costs stop being
-//! quantized by thread-spawn and condvar-tick latencies.
+//! every wait policy (`OMP_WAIT_POLICY` unset, `passive`, `active`), because
+//! the whole point of hot teams + signaled waiting is that these costs stop
+//! being quantized by thread-spawn and condvar-tick latencies. The `unset`
+//! column is the runtime's default: each team spins at its rendezvous waits
+//! only when it fits on the cores.
 //!
 //! ```text
 //! syncbench [--threads 1,2,4,8] [--trials N] [--inner N] [--outer N]
@@ -35,7 +37,10 @@
 //! unless every construct completed, every overhead number is finite and
 //! positive, and `parallel` *scales*: the fastest-trial region cost at the
 //! widest team stays within `--scale-limit` (default 80) multiples of the
-//! 1-thread cost for every backend x policy cell. The limit is calibrated
+//! 1-thread cost for every backend x policy cell — and every team got the
+//! spin budget its policy implies: 0 under `passive`, and under `unset` 0
+//! whenever the team has more threads than the host has cores (those teams
+//! must park; `OMP4RS_SPIN` overrides all three). The limit is calibrated
 //! so the sharded pool with early-leave final barriers passes with ~1.7x
 //! headroom while the pre-sharding global-lock dispatch (measured ~89x on
 //! the same host) trips it — a scaling regression gate, not a noise gate
@@ -245,6 +250,8 @@ struct Row {
     backend: Backend,
     policy: &'static str,
     threads: usize,
+    /// The team's rendezvous-wait spin budget in this cell.
+    spin: u32,
     /// Median across trials.
     ns_per_op: f64,
     /// Fastest trial — the interference-free cost floor.
@@ -255,11 +262,12 @@ impl Row {
     fn json(&self) -> String {
         format!(
             "{{\"construct\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",\
-             \"threads\":{},\"ns_per_op\":{:.1},\"ns_per_op_min\":{:.1}}}",
+             \"threads\":{},\"spin\":{},\"ns_per_op\":{:.1},\"ns_per_op_min\":{:.1}}}",
             self.construct.name(),
             backend_name(self.backend),
             self.policy,
             self.threads,
+            self.spin,
             self.ns_per_op,
             self.ns_per_op_min
         )
@@ -273,11 +281,27 @@ fn backend_name(b: Backend) -> &'static str {
     }
 }
 
-/// Select the wait policy for subsequent regions: set `OMP_WAIT_POLICY` and
-/// re-derive the ICVs from the environment, exactly as a fresh process would.
+/// Select the wait policy for subsequent regions: set `OMP_WAIT_POLICY`
+/// (remove it for `unset`) and re-derive the ICVs from the environment,
+/// exactly as a fresh process would.
 fn apply_policy(policy: &str) {
-    std::env::set_var("OMP_WAIT_POLICY", policy);
+    if policy == "unset" {
+        std::env::remove_var("OMP_WAIT_POLICY");
+    } else {
+        std::env::set_var("OMP_WAIT_POLICY", policy);
+    }
     Icvs::reset(Icvs::from_env());
+}
+
+/// The rendezvous spin budget a team of this configuration gets.
+fn team_spin(cfg: &ParallelConfig) -> u32 {
+    let spin = std::sync::atomic::AtomicU32::new(0);
+    parallel_region(cfg, |ctx| {
+        if ctx.thread_num() == 0 {
+            spin.store(ctx.spin_budget(), std::sync::atomic::Ordering::Relaxed);
+        }
+    });
+    spin.into_inner()
 }
 
 fn knobs_for(threads: usize, trials: usize, outer: usize, inner: usize) -> Knobs {
@@ -333,7 +357,7 @@ fn main() {
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(80.0);
 
-    let policies: &[&'static str] = &["passive", "active"];
+    let policies: &[&'static str] = &["unset", "passive", "active"];
     let backends = [Backend::Atomic, Backend::Mutex];
 
     let mut rows = Vec::new();
@@ -345,7 +369,7 @@ fn main() {
                 let cfg = ParallelConfig::new().num_threads(t).backend(backend);
                 // Warm the worker pool / code paths outside the timing,
                 // then let the previous cell's stragglers park.
-                parallel_region(&cfg, |_ctx| {});
+                let spin = team_spin(&cfg);
                 settle();
                 let region_cost = measure(Construct::Parallel, &cfg, knobs, 0.0);
                 for construct in Construct::ALL {
@@ -362,6 +386,7 @@ fn main() {
                         backend,
                         policy,
                         threads: t,
+                        spin,
                         ns_per_op: med * 1e9,
                         ns_per_op_min: min * 1e9,
                     });
@@ -382,6 +407,7 @@ fn main() {
                     backend,
                     policy,
                     threads: t,
+                    spin,
                     ns_per_op: spawn_cost.0 * 1e9,
                     ns_per_op_min: spawn_cost.1 * 1e9,
                 });
@@ -407,16 +433,17 @@ fn main() {
     } else {
         println!("construct overhead (ns/op):");
         println!(
-            "{:<10} {:>7} {:>8} {:>8} {:>12} {:>12}",
-            "construct", "backend", "policy", "threads", "median", "min"
+            "{:<10} {:>7} {:>8} {:>8} {:>6} {:>12} {:>12}",
+            "construct", "backend", "policy", "threads", "spin", "median", "min"
         );
         for row in &rows {
             println!(
-                "{:<10} {:>7} {:>8} {:>8} {:>12.1} {:>12.1}",
+                "{:<10} {:>7} {:>8} {:>8} {:>6} {:>12.1} {:>12.1}",
                 row.construct.name(),
                 backend_name(row.backend),
                 row.policy,
                 row.threads,
+                row.spin,
                 row.ns_per_op,
                 row.ns_per_op_min
             );
@@ -436,6 +463,32 @@ fn main() {
                     backend_name(row.backend),
                     row.policy,
                     row.threads
+                );
+                failed = true;
+            }
+        }
+        // Wait-policy contract: every team got the budget its policy
+        // implies. Passive teams never spin, and with the policy unset a
+        // team with more threads than cores parks at once while one that
+        // fits spins (this bench is the only master, so a team's busy
+        // threads are exactly its own).
+        let cores = omp4rs::icv::available_parallelism();
+        let spin = Icvs::current().spin;
+        for row in &rows {
+            let want = omp4rs::sync::team_spin_budget(
+                omp4rs::WaitPolicy::parse(row.policy),
+                spin,
+                row.threads,
+                cores,
+            );
+            if row.spin != want {
+                eprintln!(
+                    "CHECK FAILED: {} ({}/{} @{}T on {cores} cores) spin budget {} (expected {want})",
+                    row.construct.name(),
+                    backend_name(row.backend),
+                    row.policy,
+                    row.threads,
+                    row.spin,
                 );
                 failed = true;
             }

@@ -361,10 +361,10 @@ where
     // sustaining — each shed region's own charge helped keep the budget
     // exhausted for the next — which is how BENCH_serve.json ended up
     // shedding >90% of offered regions.
-    let _inflight =
-        (level == 0 && icvs.pool && size > 1).then(|| crate::pool::InflightGuard::new(size - 1));
+    let pooled = size > 1 && level == 0 && icvs.pool;
+    let _inflight = pooled.then(|| crate::pool::InflightGuard::new(size - 1));
 
-    let team = Team::new(size, cfg.backend);
+    let team = Team::for_region(size, cfg.backend, pooled);
     let parent_positions = context::current_positions();
     let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
@@ -374,7 +374,7 @@ where
     // bypass the pool and spawn scoped threads, keeping the pool's size
     // bounded by top-level team sizes. `OMP4RS_POOL=off` forces the
     // scoped-spawn path for A/B measurement of the pool's benefit.
-    if size > 1 && level == 0 && icvs.pool {
+    if pooled {
         let latch = crate::pool::RegionLatch::new(size - 1);
         // Arm the team: the final barrier's releaser zeroes the latch for
         // the whole gang, so the master proceeds the moment the region's
@@ -722,6 +722,13 @@ impl<'scope> WorkerCtx<'scope> {
     /// The team's synchronization backend.
     pub fn backend(&self) -> Backend {
         self.team.backend()
+    }
+
+    /// The spin budget of the team's rendezvous waits (barriers, `taskwait`,
+    /// `taskgroup`), decided at region entry by
+    /// [`crate::sync::team_spin_budget`].
+    pub fn spin_budget(&self) -> u32 {
+        self.team.spin_budget()
     }
 
     /// Explicit barrier (also a task scheduling point).

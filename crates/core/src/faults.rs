@@ -108,6 +108,8 @@ pub struct FaultPlan {
     seed: u64,
     panics: Vec<(FaultSite, u64)>,
     delays: Vec<(FaultSite, u64, Duration)>,
+    /// When set, only this thread's events count and fire (unit tests).
+    thread: Option<std::thread::ThreadId>,
 }
 
 impl FaultPlan {
@@ -118,7 +120,18 @@ impl FaultPlan {
             seed,
             panics: Vec::new(),
             delays: Vec::new(),
+            thread: None,
         }
+    }
+
+    /// Restrict the plan to events raised by the calling thread: other
+    /// threads' events neither count toward an occurrence nor fire. The
+    /// unit tests below drive [`on_event`] directly while sibling tests run
+    /// regions through the same sites.
+    #[cfg(test)]
+    fn on_current_thread(mut self) -> FaultPlan {
+        self.thread = Some(std::thread::current().id());
+        self
     }
 
     /// The plan's seed.
@@ -340,20 +353,24 @@ pub fn on_event(site: FaultSite) {
 
 #[cold]
 fn on_event_armed(site: FaultSite) {
-    let n = COUNTERS[site.index()].fetch_add(1, Ordering::SeqCst) + 1;
-    let (panic_hit, delay_hit, seed) = {
+    let (n, panic_hit, delay_hit, seed) = {
         let plan = PLAN.lock();
-        match plan.as_ref() {
-            Some(p) => (
-                p.panics.iter().any(|&(s, occ)| s == site && occ == n),
-                p.delays
-                    .iter()
-                    .find(|&&(s, occ, _)| s == site && occ == n)
-                    .map(|&(_, _, d)| d),
-                p.seed,
-            ),
-            None => return,
+        let Some(p) = plan.as_ref() else {
+            return;
+        };
+        if p.thread.is_some_and(|t| t != std::thread::current().id()) {
+            return;
         }
+        let n = COUNTERS[site.index()].fetch_add(1, Ordering::SeqCst) + 1;
+        (
+            n,
+            p.panics.iter().any(|&(s, occ)| s == site && occ == n),
+            p.delays
+                .iter()
+                .find(|&&(s, occ, _)| s == site && occ == n)
+                .map(|&(_, _, d)| d),
+            p.seed,
+        )
     };
     if let Some(base) = delay_hit {
         // Jitter in [1.0, 2.0)× base, derived from (seed, site, occurrence).
@@ -385,6 +402,11 @@ fn on_event_armed(site: FaultSite) {
 mod tests {
     use super::*;
 
+    /// A plan only the calling test's own events count toward and fire.
+    fn thread_plan(seed: u64) -> FaultPlan {
+        FaultPlan::new(seed).on_current_thread()
+    }
+
     #[test]
     fn disarmed_hook_is_inert() {
         // Every arming test holds the lock for as long as its plan is armed.
@@ -397,7 +419,7 @@ mod tests {
 
     #[test]
     fn armed_plan_panics_at_exact_occurrence() {
-        let _guard = arm(FaultPlan::new(7).panic_at(FaultSite::TaskExecute, 3));
+        let _guard = arm(thread_plan(7).panic_at(FaultSite::TaskExecute, 3));
         on_event(FaultSite::TaskExecute);
         on_event(FaultSite::TaskExecute);
         on_event(FaultSite::BarrierArrival); // other sites don't advance it
@@ -414,11 +436,25 @@ mod tests {
     #[test]
     fn guard_drop_disarms() {
         {
-            let _guard = arm(FaultPlan::new(1).panic_at(FaultSite::ChunkClaim, 1));
+            let _guard = arm(thread_plan(1).panic_at(FaultSite::ChunkClaim, 1));
             assert!(is_armed());
         }
+        // Holding the lock keeps other tests from arming in the meantime.
+        let _lock = TEST_LOCK.lock();
         assert!(!is_armed());
         on_event(FaultSite::ChunkClaim); // must not panic
+    }
+
+    #[test]
+    fn thread_scoped_plan_ignores_other_threads() {
+        let _guard = arm(thread_plan(3).panic_at(FaultSite::ChunkClaim, 1));
+        std::thread::spawn(|| on_event(FaultSite::ChunkClaim))
+            .join()
+            .expect("another thread's event neither counts nor fires");
+        let err = std::panic::catch_unwind(|| on_event(FaultSite::ChunkClaim))
+            .expect_err("the arming thread's first event must panic");
+        let fault = err.downcast_ref::<InjectedFault>().expect("InjectedFault");
+        assert_eq!(fault.occurrence, 1);
     }
 
     #[test]
@@ -439,7 +475,7 @@ mod tests {
 
     #[test]
     fn same_thread_double_arm_panics_clearly() {
-        let _guard = arm(FaultPlan::new(1).panic_at(FaultSite::ChunkClaim, 99));
+        let _guard = arm(thread_plan(1).panic_at(FaultSite::ChunkClaim, 99));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _second = arm(FaultPlan::new(2).panic_at(FaultSite::ChunkClaim, 99));
         }))
@@ -457,16 +493,16 @@ mod tests {
     #[test]
     fn rearm_after_drop_is_fine() {
         {
-            let _guard = arm(FaultPlan::new(1).panic_at(FaultSite::ChunkClaim, 99));
+            let _guard = arm(thread_plan(1).panic_at(FaultSite::ChunkClaim, 99));
         }
-        let _guard = arm(FaultPlan::new(2).panic_at(FaultSite::ChunkClaim, 99));
+        let _guard = arm(thread_plan(2).panic_at(FaultSite::ChunkClaim, 99));
         assert!(is_armed());
     }
 
     #[test]
     fn delay_abandons_when_interrupted() {
         let _guard =
-            arm(FaultPlan::new(9).delay_at(FaultSite::BarrierArrival, 1, Duration::from_secs(120)));
+            arm(thread_plan(9).delay_at(FaultSite::BarrierArrival, 1, Duration::from_secs(120)));
         // Predicate fires immediately: the two-minute stall collapses to at
         // most a couple of slices.
         let _interrupt = set_delay_interrupt(Box::new(|| true));
@@ -481,11 +517,8 @@ mod tests {
 
     #[test]
     fn delay_fault_stalls_the_event() {
-        let _guard = arm(FaultPlan::new(42).delay_at(
-            FaultSite::BarrierArrival,
-            1,
-            Duration::from_millis(10),
-        ));
+        let _guard =
+            arm(thread_plan(42).delay_at(FaultSite::BarrierArrival, 1, Duration::from_millis(10)));
         let start = std::time::Instant::now();
         on_event(FaultSite::BarrierArrival);
         assert!(start.elapsed() >= Duration::from_millis(10));

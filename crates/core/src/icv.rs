@@ -60,10 +60,13 @@ pub struct Icvs {
     /// interpreter is installed. See `docs/ENVIRONMENT.md`.
     pub minipy_quicken: MinipyQuicken,
     /// `wait-policy-var`: what waiting threads do (`OMP_WAIT_POLICY`).
-    /// `Active` spins a large bounded budget before parking; `Passive` (the
-    /// default) parks almost immediately. Resolved to a spin-iteration
+    /// `Active` spins a large bounded budget before parking; `Passive`
+    /// parks at once. `None` (the default: the variable is unset) leaves it
+    /// to the runtime, which spins briefly at the rendezvous waits of a team
+    /// that fits on the cores and parks everywhere else — see
+    /// [`crate::sync::team_spin_budget`]. Resolved to a spin-iteration
     /// budget cached in [`crate::sync`] on every store mutation.
-    pub wait_policy: crate::sync::WaitPolicy,
+    pub wait_policy: Option<crate::sync::WaitPolicy>,
     /// Spin-iteration override (`OMP4RS_SPIN`): exact iterations every wait
     /// burns before parking, trumping the policy's default budget. `0`
     /// means park immediately even under `Active`.
@@ -172,7 +175,7 @@ impl Default for Icvs {
             steal_cap: None,
             minipy_vm: MinipyVm::Auto,
             minipy_quicken: MinipyQuicken::Auto,
-            wait_policy: crate::sync::WaitPolicy::Passive,
+            wait_policy: None,
             spin: None,
             pool: true,
             pool_shards: None,
@@ -182,11 +185,17 @@ impl Default for Icvs {
     }
 }
 
-/// Host parallelism (used for `omp_get_num_procs` and the default team size).
+/// Host parallelism (used for `omp_get_num_procs`, the default team size
+/// and each team's wait spin budget). Sampled once per process: the std
+/// query reads the affinity mask and cgroup quota files, too slow for
+/// every region entry.
 pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 fn store() -> &'static RwLock<Icvs> {
@@ -278,7 +287,7 @@ impl Icvs {
         }
         if let Ok(text) = std::env::var("OMP_WAIT_POLICY") {
             if let Some(policy) = crate::sync::WaitPolicy::parse(&text) {
-                icvs.wait_policy = policy;
+                icvs.wait_policy = Some(policy);
             }
         }
         if let Ok(text) = std::env::var("OMP4RS_SPIN") {
@@ -429,11 +438,27 @@ mod tests {
         let _guard = test_guard();
         let before = Icvs::current();
 
-        // Policy alone: budget comes from the policy default.
-        std::env::set_var("OMP_WAIT_POLICY", "active");
+        // Absent: the policy reads as unset, and waits outside a team's
+        // rendezvous park at once.
+        std::env::remove_var("OMP_WAIT_POLICY");
         std::env::remove_var("OMP4RS_SPIN");
         let icvs = Icvs::from_env();
-        assert_eq!(icvs.wait_policy, WaitPolicy::Active);
+        assert_eq!(icvs.wait_policy, None);
+        assert_eq!(icvs.spin, None);
+        Icvs::reset(icvs);
+        assert_eq!(spin_iters(), 0);
+
+        // Passive parses and sets the budget explicitly.
+        std::env::set_var("OMP_WAIT_POLICY", "passive");
+        let icvs = Icvs::from_env();
+        assert_eq!(icvs.wait_policy, Some(WaitPolicy::Passive));
+        Icvs::reset(icvs);
+        assert_eq!(spin_iters(), 0);
+
+        // Policy alone: budget comes from the policy default.
+        std::env::set_var("OMP_WAIT_POLICY", "active");
+        let icvs = Icvs::from_env();
+        assert_eq!(icvs.wait_policy, Some(WaitPolicy::Active));
         assert_eq!(icvs.spin, None);
         Icvs::reset(icvs);
         assert_eq!(spin_iters(), WaitPolicy::Active.default_spin());
@@ -441,7 +466,7 @@ mod tests {
         // OMP4RS_SPIN takes precedence over the policy's default budget.
         std::env::set_var("OMP4RS_SPIN", "7");
         let icvs = Icvs::from_env();
-        assert_eq!(icvs.wait_policy, WaitPolicy::Active);
+        assert_eq!(icvs.wait_policy, Some(WaitPolicy::Active));
         assert_eq!(icvs.spin, Some(7));
         Icvs::reset(icvs);
         assert_eq!(spin_iters(), 7);
@@ -457,7 +482,7 @@ mod tests {
         std::env::set_var("OMP_WAIT_POLICY", "frantic");
         std::env::set_var("OMP4RS_SPIN", "-3");
         let icvs = Icvs::from_env();
-        assert_eq!(icvs.wait_policy, WaitPolicy::Passive);
+        assert_eq!(icvs.wait_policy, None);
         assert_eq!(icvs.spin, None);
 
         // Icvs::update republishes the cached budget too.

@@ -2136,7 +2136,12 @@ mod tests {
         let _session = disabled_session();
         record(1, EventKind::ParallelEnd);
         record_here(EventKind::TaskSchedule);
-        assert!(events().is_empty());
+        // A sibling test's pool worker may still be finishing a region it
+        // began while that test's session was enabled: look at this
+        // thread's stream only.
+        let mut me = 0;
+        with_ring(|ring| me = ring.tid);
+        assert!(events().iter().all(|e| e.thread != me));
     }
 
     #[test]

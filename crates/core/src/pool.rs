@@ -313,8 +313,9 @@ struct Pool {
     wd_cancels: AtomicU64,
 }
 
+static POOL: OnceLock<Pool> = OnceLock::new();
+
 fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
         // The shard count is frozen at first use: the `OMP4RS_POOL_SHARDS`
         // ICV (or the host's available parallelism) is sampled here, once,
@@ -712,8 +713,12 @@ fn charge_inflight(delta: i64) {
 /// Threads currently charged to in-flight top-level regions: the reservoir
 /// plus every shard's local counter. Clamped at zero — transiently, a
 /// release folded into the reservoir can be visible before its charge.
-fn inflight_total() -> usize {
-    let p = pool();
+/// Zero before the first pooled region, without creating the pool (which
+/// would freeze its shard count early).
+pub(crate) fn inflight_total() -> usize {
+    let Some(p) = POOL.get() else {
+        return 0;
+    };
     let mut total = p.reservoir.load(Ordering::Acquire);
     for shard in p.shards.iter() {
         total += shard.inflight.load(Ordering::Acquire);

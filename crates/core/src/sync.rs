@@ -25,15 +25,19 @@ use parking_lot::{Condvar, Mutex};
 /// resolves to a bounded spin-iteration budget ([`WaitPolicy::default_spin`],
 /// overridable via `OMP4RS_SPIN`) that every runtime wait burns before
 /// parking on a signaled [`Notifier`]/[`OmpEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// The ICV may also be *unset* (`Icvs::wait_policy == None`, the default),
+/// which OpenMP leaves implementation-defined. Then, like libgomp, the
+/// runtime picks per team ([`team_spin_budget`]): a team that fits on the
+/// cores spins briefly at its own rendezvous waits, an oversubscribed one
+/// parks at once, and every other wait parks at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WaitPolicy {
     /// Spin a large bounded budget before parking — lowest wakeup latency,
     /// burns CPU; right when threads ≤ cores.
     Active,
-    /// Park after a token spin — frees the core for whoever must produce
-    /// the awaited state change; right when oversubscribed (the default:
-    /// this runtime targets small hosts where regions oversubscribe cores).
-    #[default]
+    /// Park at once — frees the core for whoever must produce the awaited
+    /// state change; right when threads outnumber cores.
     Passive,
 }
 
@@ -49,10 +53,9 @@ impl WaitPolicy {
 
     /// The spin budget this policy implies when `OMP4RS_SPIN` is unset.
     ///
-    /// Passive parks immediately: on the oversubscribed hosts this runtime
-    /// targets, measured region-entry and barrier latency are *lowest* with
-    /// no speculative spinning at all (every spin iteration delays the
-    /// thread that must produce the awaited state change).
+    /// Passive parks immediately: passive threads must not burn cycles, and
+    /// on oversubscribed hosts every spin iteration delays the thread that
+    /// must produce the awaited state change.
     pub fn default_spin(self) -> u32 {
         match self {
             WaitPolicy::Active => 10_000,
@@ -61,9 +64,40 @@ impl WaitPolicy {
     }
 }
 
+/// Spin budget of a team's rendezvous waits when the wait policy is unset
+/// and the team fits on the cores. Sized on a 2-core host: it covers a
+/// teammate's typical arrival skew at a Jacobi barrier (a few µs), so the
+/// wait ends without a futex park/wake pair, and it is short enough that an
+/// unlucky wait gives up its core after about a hundred microseconds.
+pub const TEAM_FIT_SPIN: u32 = 1000;
+
+/// The spin budget of a team's own rendezvous waits — its barriers,
+/// `taskwait`, `taskgroup` end and undeferred-dependence waits — decided
+/// once when the team is created.
+///
+/// `OMP4RS_SPIN` (`spin`) wins, then an explicit `OMP_WAIT_POLICY`. With
+/// both unset, the team spins [`TEAM_FIT_SPIN`] iterations when it fits on
+/// the cores — `busy` threads (pool workers charged to in-flight regions,
+/// this team's master and any scoped workers) at most `cores` — since the
+/// thread that must produce the awaited change is then running on another
+/// core. Otherwise it parks at once: spinning would only delay that thread.
+pub fn team_spin_budget(
+    policy: Option<WaitPolicy>,
+    spin: Option<u32>,
+    busy: usize,
+    cores: usize,
+) -> u32 {
+    match (spin, policy) {
+        (Some(n), _) => n,
+        (None, Some(policy)) => policy.default_spin(),
+        (None, None) if busy <= cores => TEAM_FIT_SPIN,
+        (None, None) => 0,
+    }
+}
+
 /// Cached spin budget derived from the current ICVs; read on every wait, so
-/// it lives outside the ICV lock. Defaults to the passive budget until the
-/// ICV store first publishes.
+/// it lives outside the ICV lock. Defaults to the unset-policy budget (0)
+/// until the ICV store first publishes.
 static SPIN_LIMIT: AtomicU32 = AtomicU32::new(0);
 
 /// Runtime-wide count of untimed parks (exported as `omp4rs.pool.park`).
@@ -74,12 +108,15 @@ static SPIN_EXITS: AtomicU64 = AtomicU64::new(0);
 
 /// Install the effective spin budget for the current ICVs. Called by the
 /// `icv` module whenever the store is initialized, updated, or reset.
-pub(crate) fn refresh_wait_config(policy: WaitPolicy, spin: Option<u32>) {
-    let limit = spin.unwrap_or_else(|| policy.default_spin());
+pub(crate) fn refresh_wait_config(policy: Option<WaitPolicy>, spin: Option<u32>) {
+    let limit = spin.unwrap_or_else(|| policy.map_or(0, WaitPolicy::default_spin));
     SPIN_LIMIT.store(limit, Ordering::Relaxed);
 }
 
-/// The spin budget a wait burns before parking (ICV-derived, cached).
+/// The spin budget a wait outside a team's rendezvous burns before parking
+/// — the pool dock, [`OmpEvent`], [`wait_until`], `critical` and locks
+/// (ICV-derived, cached; 0 while the policy is unset). Team rendezvous
+/// waits use [`team_spin_budget`] instead.
 pub fn spin_iters() -> u32 {
     SPIN_LIMIT.load(Ordering::Relaxed)
 }
@@ -124,27 +161,71 @@ pub fn spin_hint(remaining: u32) {
 /// contract: every state transition that can flip `pred` must be followed
 /// by a `notify_all` on the same notifier.
 pub fn wait_until(notifier: &Notifier, mut pred: impl FnMut() -> bool) {
-    let mut spins = spin_iters();
-    let mut spun = false;
-    let mut parked = false;
+    let mut spin = Spin::new(spin_iters());
     loop {
         // Epoch first, predicate second: a notification that lands between
         // the two invalidates the snapshot and the park falls through.
         let epoch = notifier.epoch();
         if pred() {
-            if spun && !parked {
-                note_spin_exit();
-            }
             return;
         }
-        if spins > 0 {
-            spins -= 1;
-            spun = true;
-            spin_hint(spins);
+        if spin.step() {
             continue;
         }
+        spin.parking();
         notifier.park(epoch);
-        parked = true;
+    }
+}
+
+/// Spin-then-park bookkeeping for one wait loop. [`Spin::step`] burns the
+/// budget one [`spin_hint`] at a time, [`Spin::refill`] restarts it after
+/// the waiter made progress (ran a task), and dropping the `Spin` — i.e.
+/// the wait returning — records a spin exit (`omp4rs.pool.spin_exit`) when
+/// the wait spun and never parked.
+pub(crate) struct Spin {
+    budget: u32,
+    left: u32,
+    spun: bool,
+    parked: bool,
+}
+
+impl Spin {
+    pub(crate) fn new(budget: u32) -> Spin {
+        Spin {
+            budget,
+            left: budget,
+            spun: false,
+            parked: false,
+        }
+    }
+
+    /// Restart the budget.
+    pub(crate) fn refill(&mut self) {
+        self.left = self.budget;
+    }
+
+    /// Burn one spin iteration; `false` once the budget is spent.
+    pub(crate) fn step(&mut self) -> bool {
+        if self.left == 0 {
+            return false;
+        }
+        self.left -= 1;
+        self.spun = true;
+        spin_hint(self.left);
+        true
+    }
+
+    /// Note that the waiter is about to park (its exit is then no spin exit).
+    pub(crate) fn parking(&mut self) {
+        self.parked = true;
+    }
+}
+
+impl Drop for Spin {
+    fn drop(&mut self) {
+        if self.spun && !self.parked {
+            note_spin_exit();
+        }
     }
 }
 
@@ -408,6 +489,12 @@ impl Notifier {
     /// predicate, then hand the snapshot to [`park`](Notifier::park).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Threads parked right now.
+    #[cfg(test)]
+    pub(crate) fn waiters(&self) -> u64 {
+        self.waiters.load(Ordering::SeqCst)
     }
 
     /// Wake all current waiters and invalidate in-flight epoch snapshots.
@@ -1085,5 +1172,55 @@ mod tests {
         assert_eq!(WaitPolicy::parse("aggressive"), None);
         assert_eq!(WaitPolicy::parse(""), None);
         assert!(WaitPolicy::Active.default_spin() > WaitPolicy::Passive.default_spin());
+    }
+
+    #[test]
+    fn team_spin_budget_table() {
+        use WaitPolicy::{Active, Passive};
+        // (policy, OMP4RS_SPIN, busy threads, cores) -> team budget. Cores
+        // are given explicitly, so the table holds on any host.
+        let cases = [
+            // Unset policy: spin when the team fits, park when it does not.
+            (None, None, 1, 1, TEAM_FIT_SPIN),
+            (None, None, 2, 2, TEAM_FIT_SPIN),
+            (None, None, 3, 2, 0),
+            (None, None, 8, 2, 0),
+            (None, None, 8, 64, TEAM_FIT_SPIN),
+            // Explicit policies ignore the fit.
+            (Some(Passive), None, 2, 2, 0),
+            (Some(Passive), None, 8, 2, 0),
+            (Some(Active), None, 2, 2, 10_000),
+            (Some(Active), None, 8, 2, 10_000),
+            // OMP4RS_SPIN overrides everything, 0 included.
+            (None, Some(7), 2, 2, 7),
+            (None, Some(7), 8, 2, 7),
+            (None, Some(0), 2, 2, 0),
+            (Some(Passive), Some(3), 8, 2, 3),
+            (Some(Active), Some(0), 2, 2, 0),
+        ];
+        for (policy, spin, busy, cores, want) in cases {
+            assert_eq!(
+                team_spin_budget(policy, spin, busy, cores),
+                want,
+                "policy {policy:?}, spin {spin:?}, {busy} busy on {cores} cores"
+            );
+        }
+    }
+
+    #[test]
+    fn spin_refills_and_records_its_exit() {
+        let mut s = Spin::new(1);
+        assert!(s.step());
+        assert!(!s.step(), "budget spent");
+        s.refill();
+        assert!(s.step(), "refilled");
+        // Other tests record exits concurrently, so the counter only gives
+        // a lower bound.
+        let before = spin_exit_count();
+        drop(s);
+        assert!(
+            spin_exit_count() > before,
+            "spun, never parked: a spin exit"
+        );
     }
 }

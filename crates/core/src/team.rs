@@ -59,6 +59,10 @@ pub struct Team {
     failure: Mutex<Option<OmpError>>,
     /// Whether this team was entered into the watchdog's region registry.
     registered: bool,
+    /// Spin budget of this team's rendezvous waits (barriers, `taskwait`,
+    /// `taskgroup` end, [`Team::wait_node`]), decided once at creation by
+    /// [`sync::team_spin_budget`].
+    spin: u32,
 }
 
 /// Region-id → team map so the stall watchdog ([`crate::pool`]) can reach a
@@ -112,16 +116,34 @@ thread_local! {
 const STEAL_DEPTH_LIMIT: usize = 24;
 
 impl Team {
-    /// Create a team of `size` threads using the given backend.
+    /// Create a team of `size` threads using the given backend, run by
+    /// threads the caller spawns itself; they count as busy when the team
+    /// decides its wait spin budget ([`sync::team_spin_budget`]).
     ///
     /// The region deadline and watchdog ICVs are sampled here, so a deadline
     /// covers the whole region lifetime starting from team creation.
     pub fn new(size: usize, backend: Backend) -> Arc<Team> {
+        Team::for_region(size, backend, false)
+    }
+
+    /// [`Team::new`] for a region whose `size - 1` workers are either pool
+    /// workers (`pooled`, already charged to the pool's in-flight count)
+    /// or threads spawned for this team alone. The count of busy threads
+    /// decides the team's wait spin budget ([`sync::team_spin_budget`]).
+    pub(crate) fn for_region(size: usize, backend: Backend, pooled: bool) -> Arc<Team> {
         let wake = Arc::new(Notifier::new());
         let cancelled = Arc::new(CancelFlag::new(backend));
         let icvs = crate::icv::Icvs::current();
         let started = Instant::now();
         let registered = icvs.watchdog.is_some();
+        let own_workers = if pooled { 0 } else { size.saturating_sub(1) };
+        let busy = crate::pool::inflight_total() + 1 + own_workers;
+        let spin = sync::team_spin_budget(
+            icvs.wait_policy,
+            icvs.spin,
+            busy,
+            crate::icv::available_parallelism(),
+        );
         let team = Arc::new(Team {
             size: size.max(1),
             backend,
@@ -140,6 +162,7 @@ impl Team {
             deadline: icvs.region_deadline.map(|d| started + d),
             failure: Mutex::new(None),
             registered,
+            spin,
         });
         if registered {
             registry().lock().insert(team.region, Arc::downgrade(&team));
@@ -259,6 +282,12 @@ impl Team {
         self.backend
     }
 
+    /// The spin budget of this team's rendezvous waits (see
+    /// [`sync::team_spin_budget`]).
+    pub fn spin_budget(&self) -> u32 {
+        self.spin
+    }
+
     /// The unique region id tagging this team's profiler events.
     pub fn region(&self) -> u64 {
         self.region
@@ -357,10 +386,21 @@ impl Team {
     /// `true`. This is the only rescue path for a *serial* region (admission
     /// shed, team of one) — there are no sibling waiters parked with the
     /// deadline and no pool slot for the watchdog to monitor.
+    ///
+    /// When teammates have already arrived at a barrier, the region is
+    /// stuck there waiting for this thread, and their deadline-bounded
+    /// parks expire at the same instant as this probe: the trip is typed
+    /// `"barrier"` either way, so the error does not depend on which thread
+    /// the scheduler runs first.
     pub(crate) fn deadline_probe(&self) -> bool {
         match self.deadline {
             Some(deadline) if Instant::now() >= deadline => {
-                self.trip_deadline("region");
+                let construct = if self.arrived.load(Ordering::Acquire) > 0 {
+                    "barrier"
+                } else {
+                    "region"
+                };
+                self.trip_deadline(construct);
                 true
             }
             _ => false,
@@ -462,12 +502,12 @@ impl Team {
     }
 
     /// The barrier wait loop, entered after the caller's arrival has been
-    /// counted under generation `gen`. The wait burns the ICV-derived spin
+    /// counted under generation `gen`. The wait burns the team's spin
     /// budget first, then parks on the team eventcount; every transition
     /// that can release it (last arrival, task completion, new task
     /// submission, cancellation) bumps `wake`'s epoch.
     fn barrier_wait(&self, gen: u64) {
-        let mut spins = sync::spin_iters();
+        let mut spin = sync::Spin::new(self.spin);
         loop {
             let epoch = self.wake.epoch();
             if self.cancelled.is_set() || self.generation.load(Ordering::Acquire) != gen {
@@ -507,14 +547,13 @@ impl Team {
             // Not releasable yet: make progress on tasks; with none to run,
             // spin down the budget, then park until the next signal.
             if self.run_one_task() {
-                spins = sync::spin_iters();
+                spin.refill();
                 continue;
             }
-            if spins > 0 {
-                spins -= 1;
-                sync::spin_hint(spins);
+            if spin.step() {
                 continue;
             }
+            spin.parking();
             self.park_region(epoch, "barrier");
         }
     }
@@ -618,7 +657,7 @@ impl Team {
     /// succeeds only once the dependence hold clears) and otherwise makes
     /// progress on the queue, with the usual deadline-bounded park.
     pub fn wait_node(&self, node: &TaskNode) {
-        let mut spins = sync::spin_iters();
+        let mut spin = sync::Spin::new(self.spin);
         loop {
             let epoch = self.wake.epoch();
             if node.is_done() || self.cancelled.is_set() {
@@ -631,14 +670,13 @@ impl Team {
                 continue;
             }
             if self.run_one_task() {
-                spins = sync::spin_iters();
+                spin.refill();
                 continue;
             }
-            if spins > 0 {
-                spins -= 1;
-                sync::spin_hint(spins);
+            if spin.step() {
                 continue;
             }
+            spin.parking();
             self.park_region(epoch, "taskwait");
         }
     }
@@ -659,21 +697,20 @@ impl Team {
         let Some(group) = depgraph::pop_group() else {
             return;
         };
-        let mut spins = sync::spin_iters();
+        let mut spin = sync::Spin::new(self.spin);
         loop {
             let epoch = self.wake.epoch();
             if group.live() == 0 || self.cancelled.is_set() {
                 return;
             }
             if self.run_one_task() {
-                spins = sync::spin_iters();
+                spin.refill();
                 continue;
             }
-            if spins > 0 {
-                spins -= 1;
-                sync::spin_hint(spins);
+            if spin.step() {
                 continue;
             }
+            spin.parking();
             self.park_region(epoch, "taskgroup");
         }
     }
@@ -689,7 +726,7 @@ impl Team {
             Some(f) => f,
             None => return,
         };
-        let mut spins = sync::spin_iters();
+        let mut spin = sync::Spin::new(self.spin);
         loop {
             let epoch = self.wake.epoch();
             // Cancellation point: a cancelled/poisoned region's `taskwait`
@@ -716,18 +753,17 @@ impl Team {
                 }
             }
             if ran_child || self.run_one_task() {
-                spins = sync::spin_iters();
+                spin.refill();
                 continue;
             }
             // Nothing runnable: a child is in progress on another thread.
             // Spin out the budget, then park until its completion signals
             // (the epoch snapshot above predates the `is_done` checks, so a
             // completion racing with them falls through the park).
-            if spins > 0 {
-                spins -= 1;
-                sync::spin_hint(spins);
+            if spin.step() {
                 continue;
             }
+            spin.parking();
             self.park_region(epoch, "taskwait");
         }
     }
@@ -856,5 +892,80 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn barrier_waits_spend_the_team_budget_not_the_global_one() {
+        // The global (non-rendezvous) budget stays 0 when the policy is
+        // unset; a team given an effectively endless budget must spin, not
+        // park, while its teammate is late.
+        let _guard = crate::icv::test_guard();
+        let before = crate::icv::Icvs::current();
+        crate::icv::Icvs::update(|icvs| {
+            icvs.wait_policy = None;
+            icvs.spin = None;
+        });
+        assert_eq!(sync::spin_iters(), 0);
+        let mut team = Team::new(2, Backend::Atomic);
+        Arc::get_mut(&mut team).expect("unshared").spin = u32::MAX;
+        let early = {
+            let team = Arc::clone(&team);
+            std::thread::spawn(move || team.barrier())
+        };
+        while team.arrived.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(team.wake.waiters(), 0, "the early arriver parked");
+        team.barrier();
+        early.join().unwrap();
+        crate::icv::Icvs::reset(before);
+    }
+
+    #[test]
+    fn deadline_probe_names_the_barrier_teammates_wait_at() {
+        use crate::icv::Icvs;
+        let _guard = crate::icv::test_guard();
+        let before = Icvs::current();
+        Icvs::update(|icvs| icvs.region_deadline = Some(std::time::Duration::ZERO));
+        for (arrived, want) in [(0, "region"), (1, "barrier")] {
+            let team = Team::new(2, Backend::Atomic);
+            team.arrived.store(arrived, Ordering::Release);
+            assert!(team.deadline_probe());
+            match team.take_failure() {
+                Some(OmpError::RegionTimeout { construct, .. }) => assert_eq!(construct, want),
+                other => panic!("expected a RegionTimeout, got {other:?}"),
+            }
+        }
+        Icvs::reset(before);
+    }
+
+    #[test]
+    fn spin_budget_follows_the_policy_and_the_fit() {
+        use crate::icv::{available_parallelism, Icvs};
+        use crate::sync::WaitPolicy;
+        let _guard = crate::icv::test_guard();
+        let before = Icvs::current();
+        let cores = available_parallelism();
+        let set = |policy, spin| {
+            Icvs::update(|icvs| {
+                icvs.wait_policy = policy;
+                icvs.spin = spin;
+            })
+        };
+        // An explicit passive policy never spins, whatever the team size.
+        set(Some(WaitPolicy::Passive), None);
+        for size in [1, 2, cores, cores + 1, 4 * cores] {
+            assert_eq!(Team::new(size, Backend::Atomic).spin_budget(), 0, "{size}T");
+        }
+        set(Some(WaitPolicy::Active), None);
+        assert_eq!(Team::new(4 * cores, Backend::Atomic).spin_budget(), 10_000);
+        // Unset: a team with more threads than cores parks at once. (Whether
+        // a small team spins depends on other tests' in-flight regions.)
+        set(None, None);
+        assert_eq!(Team::new(cores + 1, Backend::Atomic).spin_budget(), 0);
+        set(None, Some(5));
+        assert_eq!(Team::new(cores + 1, Backend::Atomic).spin_budget(), 5);
+        Icvs::reset(before);
     }
 }

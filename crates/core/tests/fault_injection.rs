@@ -279,16 +279,31 @@ fn tasks_submitted_by_one_thread_are_stolen_by_teammates() {
     // the witness that cross-thread stealing actually happened. The task
     // count stays at the deque-capacity floor (8) so nothing spills into the
     // shared overflow bag — the only way a teammate gets work is stealing.
+    // The first task to start holds its thread until a task has started on
+    // another thread (bounded by HANG_LIMIT), so whatever the timing, some
+    // task runs away from the producer's deque: if the producer holds the
+    // first task, the thieves must take the other seven.
     for backend in BACKENDS {
         let session = omp4rs::ompt::session(omp4rs::ompt::ToolConfig::default());
         let executed = AtomicUsize::new(0);
+        let starters = Mutex::new(Vec::new());
         parallel_region(&cfg(backend, 4), |ctx| {
             ctx.single(|| {
                 for _ in 0..8 {
                     ctx.task(|_| {
-                        // Slow enough that the producer cannot drain its own
-                        // deque before the thieves arrive.
-                        std::thread::sleep(Duration::from_micros(500));
+                        let me = std::thread::current().id();
+                        let first = {
+                            let mut s = starters.lock().unwrap();
+                            s.push(me);
+                            s.len() == 1
+                        };
+                        let deadline = Instant::now() + HANG_LIMIT;
+                        while first
+                            && Instant::now() < deadline
+                            && starters.lock().unwrap().iter().all(|&t| t == me)
+                        {
+                            std::thread::sleep(Duration::from_micros(100));
+                        }
                         executed.fetch_add(1, Ordering::SeqCst);
                     });
                 }

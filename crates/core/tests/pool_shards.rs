@@ -11,7 +11,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
+use std::sync::{Mutex, MutexGuard, Once};
 
 use omp4rs::exec::{parallel_region, ParallelConfig};
 use omp4rs::{pool, Backend, Icvs};
@@ -22,8 +22,13 @@ fn cfg(threads: usize) -> ParallelConfig {
         .backend(Backend::Atomic)
 }
 
-/// Pin the pool to exactly two shards, before anything initializes it.
-fn setup() {
+/// Pin the pool to exactly two shards, before anything initializes it, and
+/// serialize the tests of this binary: they all share the one pool, and a
+/// concurrent test's workers keep both shards stocked, so a home shard
+/// never runs dry and the steal witness below never fires.
+fn setup() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     static INIT: Once = Once::new();
     INIT.call_once(|| {
         Icvs::update(|icvs| icvs.pool_shards = Some(2));
@@ -34,6 +39,7 @@ fn setup() {
         );
     });
     assert_eq!(pool::shard_count(), 2);
+    serial
 }
 
 /// Run one region on a brand-new OS thread: a fresh thread gets the next
@@ -49,7 +55,7 @@ fn region_on_fresh_thread(threads: usize) {
 /// The configured shard count is respected (and frozen at first use).
 #[test]
 fn shard_count_matches_the_icv() {
-    setup();
+    let _serial = setup();
 }
 
 /// Cross-shard stealing actually fires: masters homed on different shards
@@ -58,7 +64,7 @@ fn shard_count_matches_the_icv() {
 /// `steal` counter moving (and `spawn` staying bounded).
 #[test]
 fn cross_shard_stealing_fires() {
-    setup();
+    let _serial = setup();
     for round in 0..200 {
         // Each fresh thread gets a new master id, alternating home shards;
         // its workers dock on (or migrate to) that shard. Once workers sit
@@ -80,7 +86,7 @@ fn cross_shard_stealing_fires() {
 /// workers without spawning, no matter which shard they now call home.
 #[test]
 fn gang_affinity_survives_shard_migration() {
-    setup();
+    let _serial = setup();
     // Exercised on a fresh thread so its first region plausibly steals
     // (its home shard starts empty); the second region must reuse the
     // gang either way. Retries absorb other tests racing workers away.
@@ -105,7 +111,7 @@ fn gang_affinity_survives_shard_migration() {
 /// (and subsequent) regions at full size.
 #[test]
 fn worker_panic_poisons_team_not_shard() {
-    setup();
+    let _serial = setup();
     let result = catch_unwind(AssertUnwindSafe(|| {
         parallel_region(&cfg(4), |ctx| {
             if ctx.thread_num() == 3 {
@@ -137,7 +143,7 @@ fn worker_panic_poisons_team_not_shard() {
 /// releases across shards (with reservoir folds in between) cancel out.
 #[test]
 fn sharded_admission_charges_balance() {
-    setup();
+    let _serial = setup();
     let spread: Vec<_> = (0..8)
         .map(|_| {
             std::thread::spawn(|| {

@@ -17,6 +17,13 @@ if [[ -z "${SKIP_SLOW:-}" ]]; then
     run cargo build --release
 fi
 run cargo test -q
+# Race stress: the core suite with 8 concurrent test threads, three times.
+# libtest runs as many tests at once as the host has CPUs, so on a 1-CPU
+# host tests that share process-global state (ICVs, fault plans, the
+# profiler session, the pool) never overlap and their races stay hidden.
+for i in 1 2 3; do
+    run cargo test -q -p omp4rs -- --test-threads=8
+done
 # The benchmark (perfbench/) is a workspace of its own, so the root
 # `cargo test` never builds or tests it: run its tests explicitly.
 run cargo test -q --offline --manifest-path perfbench/Cargo.toml
